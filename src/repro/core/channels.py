@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +52,8 @@ class QuditChannel:
         for op in ops:
             if op.shape != (dim, dim):
                 raise DimensionError("all Kraus operators must be square, same dim")
-        total = sum(op.conj().T @ op for op in ops)
+        stack = np.stack(ops)
+        total = np.einsum("kba,kbc->ac", stack.conj(), stack)  # sum K† K
         if not np.allclose(total, np.eye(dim), atol=atol):
             raise DimensionError(
                 f"channel {name!r} is not trace preserving "
@@ -114,14 +116,20 @@ def depolarizing(d: int, p: float) -> QuditChannel:
     """
     if not 0.0 <= p <= 1.0:
         raise DimensionError(f"probability p={p} outside [0, 1]")
-    n_errors = d * d - 1
+    errors = _weyl_errors(d)
     ops = [math.sqrt(1.0 - p) * np.eye(d, dtype=complex)]
-    for a in range(d):
-        for b in range(d):
-            if a == 0 and b == 0:
-                continue
-            ops.append(math.sqrt(p / n_errors) * weyl(d, a, b))
+    ops.extend(math.sqrt(p / len(errors)) * errors)
     return QuditChannel(ops, name=f"depol(d={d},p={p:.3g})")
+
+
+@lru_cache(maxsize=None)
+def _weyl_errors(d: int) -> np.ndarray:
+    """The ``d^2 - 1`` non-identity Weyl operators ``X^a Z^b``, read-only."""
+    errors = np.stack(
+        [weyl(d, a, b) for a in range(d) for b in range(d) if (a, b) != (0, 0)]
+    )
+    errors.setflags(write=False)
+    return errors
 
 
 def dephasing(d: int, p: float) -> QuditChannel:

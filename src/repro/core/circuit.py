@@ -16,8 +16,9 @@ Instructions fall into three kinds:
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .exceptions import CircuitError
 from .structure import GateStructure, classify_gate
 
 __all__ = ["Instruction", "QuditCircuit"]
+
+_Plan = TypeVar("_Plan")
 
 #: Instruction kinds understood by the simulators.
 _KINDS = ("unitary", "channel", "measure", "reset")
@@ -152,9 +155,10 @@ class QuditCircuit:
         self.name = name
         self._instructions: list[Instruction] = []
         #: Mutation counter bumped by every instruction-list mutator —
-        #: caches keyed on it (the fused-instruction plan) can never serve
-        #: a stale entry after a length-preserving replacement.
+        #: caches keyed on it (:meth:`cached_plan`) can never serve a
+        #: stale entry after a length-preserving replacement.
         self._version = 0
+        self._plans: dict[str, tuple[int, Any]] = {}
 
     # ------------------------------------------------------------------
     # container protocol
@@ -233,6 +237,21 @@ class QuditCircuit:
         self._validate_instruction(instruction)
         self._instructions[index] = instruction
         self._version += 1
+
+    def cached_plan(self, key: str, build: Callable[[QuditCircuit], _Plan]) -> _Plan:
+        """``build(self)``, memoised per ``key`` until the next mutation.
+
+        Simulators cache their per-circuit execution plans here (the fused
+        statevector instruction stream, the density engine's block plan,
+        the content fingerprint), so evolving one circuit repeatedly —
+        Trotter step loops — compiles it once, while any ``append`` or
+        ``replace_instruction`` rebuilds it.
+        """
+        entry = self._plans.get(key)
+        if entry is None or entry[0] != self._version:
+            entry = (self._version, build(self))
+            self._plans[key] = entry
+        return entry[1]
 
     def unitary(
         self,
@@ -446,16 +465,7 @@ class QuditCircuit:
         counter, so repeated cache lookups on an unchanged circuit hash
         once.
         """
-        cached = getattr(self, "_fingerprint", None)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        hasher = hashlib.sha256()
-        hasher.update(f"dims={self.dims}".encode())
-        for instruction in self._instructions:
-            instruction.feed_fingerprint(hasher)
-        digest = hasher.hexdigest()
-        self._fingerprint = (self._version, digest)
-        return digest
+        return self.cached_plan("fingerprint", _digest)
 
     def count_ops(self) -> dict[str, int]:
         """Histogram of instruction names."""
@@ -522,3 +532,11 @@ class QuditCircuit:
                 pair = tuple(sorted(instruction.qudits))
                 out[pair] = out.get(pair, 0) + 1
         return out
+
+
+def _digest(circuit: QuditCircuit) -> str:
+    hasher = hashlib.sha256()
+    hasher.update(f"dims={circuit.dims}".encode())
+    for instruction in circuit:
+        instruction.feed_fingerprint(hasher)
+    return hasher.hexdigest()

@@ -278,16 +278,15 @@ def fused_instructions(circuit: QuditCircuit) -> tuple:
     intervening instruction (another wire, a channel, a measurement) breaks
     the run, so ordering semantics are preserved exactly.
 
-    The plan is cached on the circuit keyed by its mutation counter (bumped
-    by every mutator — ``append``, ``replace_instruction``), so repeatedly
-    evolving the same circuit — Trotter step loops — fuses once, while
-    *any* mutation invalidates the cache.  A length-based key would serve a
-    stale plan after a length-preserving instruction replacement.
+    The plan is cached on the circuit (:meth:`QuditCircuit.cached_plan`,
+    keyed by its mutation counter), so repeatedly evolving the same
+    circuit — Trotter step loops — fuses once, while *any* mutation
+    (``append``, ``replace_instruction``) invalidates the cache.
     """
-    cached = getattr(circuit, "_fused_plan", None)
-    version = getattr(circuit, "_version", None)
-    if cached is not None and cached[0] == version:
-        return cached[1]
+    return circuit.cached_plan("fused", _fuse_runs)
+
+
+def _fuse_runs(circuit: QuditCircuit) -> tuple:
     plan: list = []
     run: list = []
     for instruction in circuit:
@@ -299,9 +298,7 @@ def fused_instructions(circuit: QuditCircuit) -> tuple:
         _flush_run(plan, run)
         plan.append(instruction)
     _flush_run(plan, run)
-    out = tuple(plan)
-    circuit._fused_plan = (version, out)
-    return out
+    return tuple(plan)
 
 
 def embed_unitary(

@@ -69,6 +69,20 @@ class GateStructure:
         """Dimension of the classified operator."""
         return self.matrix.shape[0]
 
+    def conj(self) -> "GateStructure":
+        """Structure of the complex conjugate matrix.
+
+        Conjugation keeps the zero pattern, so the classification carries
+        over without re-classifying (the bra side of ``K rho K†``).
+        """
+        return GateStructure(
+            kind=self.kind,
+            matrix=self.matrix.conj(),
+            diag=None if self.diag is None else self.diag.conj(),
+            source=self.source,
+            values=None if self.values is None else self.values.conj(),
+        )
+
 
 def classify_gate(matrix: np.ndarray) -> GateStructure:
     """Classify a square matrix into the fast-path taxonomy.

@@ -188,8 +188,8 @@ def test_exec_bench_smoke(tmp_path):
         overhead_points=16,
         overhead_delay_ms=25.0,
         obs_qudits=5,
-        obs_gate_loops=2,
-        obs_repeats=3,
+        obs_gate_loops=20,
+        obs_repeats=7,
         autopilot_points=6,
         autopilot_target=1e-6,
         workers=8,
