@@ -1,9 +1,9 @@
 """Persistent campaign execution: supervised workers and streaming results.
 
-:func:`~repro.exec.runner.run_campaign` answers "run this sweep"; this
-module answers "run *many* sweeps, fast, fault-tolerantly, and let me
-consume points as they finish".  A :class:`CampaignExecutor` keeps one
-warm pool of **supervised worker processes** alive across any number of
+:func:`run_campaign` answers "run this sweep"; this module answers "run
+*many* sweeps, fast, fault-tolerantly, and let me consume points as they
+finish".  A :class:`CampaignExecutor` keeps one warm pool of
+**supervised worker processes** alive across any number of
 :meth:`~CampaignExecutor.submit` calls, so a battery of short campaigns
 pays the fork + import cost once instead of per campaign.  Each
 submission returns a :class:`CampaignHandle` exposing three consumption
@@ -36,7 +36,9 @@ deterministic backoff, and structured error records are governed by the
 submission's :class:`~repro.exec.policy.FailurePolicy`; resilience
 counters (``respawns`` / ``retries`` / ``timeouts``) surface in
 :attr:`CampaignExecutor.stats`.  Deterministic fault injection for all
-of this lives in :mod:`repro.exec.faults`.
+of this lives in :mod:`repro.exec.faults`.  A serial executor runs the
+same attempt machinery in-process: one decision (:func:`_decide`) and
+one execution body (:func:`_run_attempt`) serve both paths.
 
 Abandoning a handle early (breaking out of a stream) is safe: points
 already dispatched finish in the background and their results are
@@ -59,7 +61,7 @@ import time
 import traceback
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from pathlib import Path
@@ -179,27 +181,6 @@ def _call_task(
     return to_jsonable(task(**params))
 
 
-def _execute_point(
-    task_ref: str,
-    point: CampaignPoint,
-    attempt: int,
-    faults: FaultPlan | None,
-    *,
-    in_worker: bool,
-    overrides: dict[str, Any] | None = None,
-) -> Any:
-    """One attempt at one point, with any scheduled fault injected first."""
-    if faults is not None:
-        faults.apply(point, attempt, in_worker=in_worker)
-    if _profiling.enabled:
-        # One wrap point covers workers and the serial path alike; the
-        # raw profile lands in the process-local buffer, shipped (or
-        # consumed) exactly like metric deltas.
-        with _profiling.profiled():
-            return _call_task(task_ref, point, overrides)
-    return _call_task(task_ref, point, overrides)
-
-
 def _escalated_caps(
     account: dict[str, Any] | None,
     previous: dict[str, Any] | None,
@@ -250,6 +231,68 @@ def _describe_error(exc: BaseException) -> dict[str, Any]:
     }
 
 
+class _Outcome(NamedTuple):
+    """How one execution of a point ended.
+
+    ``kind`` is ``"ok"`` (``payload`` is the task's value) or one of
+    ``"exception"`` / ``"timeout"`` / ``"crash"`` (``payload`` is error
+    info shaped like :func:`_describe_error`'s); ``exc`` is the task's
+    own exception, when there is one.  ``exec_s`` and ``account`` (the
+    execution's error-account summary) come from the process that ran
+    the attempt.
+    """
+
+    kind: str
+    payload: Any
+    exc: BaseException | None = None
+    exec_s: float = 0.0
+    account: dict[str, Any] | None = None
+
+
+def _run_attempt(
+    task_ref: str,
+    point: CampaignPoint,
+    attempt: int,
+    faults: FaultPlan | None,
+    overrides: dict[str, Any] | None,
+    *,
+    in_worker: bool,
+) -> _Outcome:
+    """Execute one attempt at one point, in whichever process this is.
+
+    The one execution body of supervised workers and the in-process run
+    alike: the attempt's scheduled fault is injected first, the task runs
+    inside a fresh error-account scope (and a ``"point"`` span / cProfile
+    wrap when those are on), and any exception becomes an
+    ``"exception"`` outcome.  In-process, ``KeyboardInterrupt`` and
+    ``SystemExit`` propagate instead: they belong to the host, not to
+    the point.
+    """
+    started = time.monotonic()
+    acct = _budget.ErrorAccount()
+    span = (
+        _tracing.span("point", index=point.index, attempt=attempt)
+        if _tracing.enabled
+        else nullcontext()
+    )
+    # The raw profile lands in the process-local buffer, shipped (or
+    # consumed) exactly like metric deltas.
+    profile = _profiling.profiled() if _profiling.enabled else nullcontext()
+    try:
+        with _budget.scoped(acct), span:
+            if faults is not None:
+                faults.apply(point, attempt, in_worker=in_worker)
+            with profile:
+                value = _call_task(task_ref, point, overrides)
+    except BaseException as exc:
+        if not in_worker and isinstance(exc, (KeyboardInterrupt, SystemExit)):
+            raise
+        elapsed = time.monotonic() - started
+        return _Outcome("exception", _describe_error(exc), exc, elapsed, acct.summary())
+    elapsed = time.monotonic() - started
+    return _Outcome("ok", value, None, elapsed, acct.summary())
+
+
 def _sync_worker_obs(obs_conf: tuple[bool, bool, bool] | None) -> None:
     """Mirror the supervisor's obs enablement inside a worker process.
 
@@ -270,20 +313,15 @@ def _sync_worker_obs(obs_conf: tuple[bool, bool, bool] | None) -> None:
         _profiling.enable() if profiling_on else _profiling.disable()
 
 
-def _worker_obs_payload(
-    started: float, account: dict[str, Any] | None = None
-) -> dict[str, Any]:
-    """The per-point telemetry piggybacked onto the result reply.
+def _worker_obs_payload() -> dict[str, Any]:
+    """The worker-side telemetry piggybacked onto the result reply.
 
-    ``pid``/``exec_s`` are always present (they cost two fields on a
-    message the pipe was carrying anyway — this is how timelines work
-    with observability off); the point's error account rides along when
-    a truncating backend recorded anything; metric deltas and spans only
-    when collection is on, drained so the next point starts from zero.
+    ``pid`` is always present (one field on a message the pipe was
+    carrying anyway — this is how timelines work with observability
+    off); metric deltas, spans and profiles only when collection is on,
+    drained so the next point starts from zero.
     """
-    payload: dict[str, Any] = {"pid": os.getpid(), "exec_s": time.monotonic() - started}
-    if account:
-        payload["error_account"] = account
+    payload: dict[str, Any] = {"pid": os.getpid()}
     if _metrics.enabled:
         payload["metrics"] = _metrics.REGISTRY.drain()
     if _tracing.enabled:
@@ -297,9 +335,9 @@ def _worker_main(conn: connection.Connection) -> None:
     """Supervised worker loop (module-level: picklable under spawn).
 
     Receives ``(uid, task_ref, point, attempt, faults, obs_conf,
-    overrides)`` messages over its private duplex pipe, executes, and replies
-    ``("ok", uid, value, None, obs)`` or ``("err", uid, info, exception,
-    obs)`` where ``obs`` piggybacks the point's telemetry (see
+    overrides)`` messages over its private duplex pipe, runs the attempt
+    (:func:`_run_attempt`), and replies ``(uid, outcome, obs)`` where
+    ``obs`` piggybacks the worker's telemetry (see
     :func:`_worker_obs_payload`) — the hot path gains no extra syscalls.
     ``None`` is the stop sentinel.  Every task exception is *reported*,
     never fatal to the worker — only a hard death (kill/exit/segfault)
@@ -325,45 +363,20 @@ def _worker_main(conn: connection.Connection) -> None:
             break
         uid, task_ref, point, attempt, faults, obs_conf, overrides = message
         _sync_worker_obs(obs_conf)
-        started = time.monotonic()
-        acct = _budget.ErrorAccount()
+        outcome = _run_attempt(
+            task_ref, point, attempt, faults, overrides, in_worker=True
+        )
+        obs = _worker_obs_payload()
         try:
-            with _budget.scoped(acct):
-                if _tracing.enabled:
-                    with _tracing.span("point", index=point.index, attempt=attempt):
-                        value = _execute_point(
-                            task_ref,
-                            point,
-                            attempt,
-                            faults,
-                            in_worker=True,
-                            overrides=overrides,
-                        )
-                else:
-                    value = _execute_point(
-                        task_ref,
-                        point,
-                        attempt,
-                        faults,
-                        in_worker=True,
-                        overrides=overrides,
-                    )
-        except BaseException as exc:
-            obs = _worker_obs_payload(started, acct.summary())
-            info = _describe_error(exc)
-            try:
-                conn.send(("err", uid, info, exc, obs))
-            except Exception:
-                try:
-                    conn.send(("err", uid, info, None, obs))
-                except Exception:
-                    break
-            continue
-        obs = _worker_obs_payload(started, acct.summary())
-        try:
-            conn.send(("ok", uid, value, None, obs))
+            conn.send((uid, outcome, obs))
         except Exception:
-            break
+            if outcome.exc is None:
+                break
+            # An unpicklable exception is still reported, without itself.
+            try:
+                conn.send((uid, outcome._replace(exc=None), obs))
+            except Exception:
+                break
     try:
         conn.close()
     except OSError:
@@ -568,6 +581,17 @@ def _spawn_worker_process(ctx: Any) -> tuple[Any, Any]:
     return process, parent
 
 
+def _stop_process(process: Any) -> None:
+    """Stop a live worker process: terminate, then kill if it lingers."""
+    if not process.is_alive():
+        return
+    process.terminate()
+    process.join(1.0)
+    if process.is_alive():  # pragma: no cover - stubborn
+        process.kill()
+        process.join(1.0)
+
+
 class _Worker:
     """One supervised worker process and its private duplex pipe."""
 
@@ -581,40 +605,34 @@ class _Worker:
         self.deadline: float | None = None
 
 
+@dataclass(slots=True, eq=False)
 class _Dispatch:
-    """One point's execution lifecycle inside a supervised run."""
+    """One point's execution lifecycle: the single record of its attempts."""
 
-    __slots__ = (
-        "point",
-        "tries",
-        "failures",
-        "crashes",
-        "created",
-        "first_sent",
-        "backoff_s",
-        "exec_s",
-        "pids",
-        "escalations",
-        "overrides",
-        "account",
-    )
+    point: CampaignPoint
+    tries: int = 0  # executions started (failures + crashes + successes)
+    failures: int = 0  # completed attempts that raised or timed out
+    crashes: int = 0  # worker deaths while this point was in flight
+    created: float = field(default_factory=time.monotonic)  # entered the queue
+    first_sent: float | None = None  # first dispatch to a worker
+    backoff_s: float = 0.0  # cumulative retry-backoff slept
+    exec_s: float = 0.0  # execution time, summed over attempts
+    pids: list[int] = field(default_factory=list)  # processes that ran it
+    escalations: int = 0  # error-budget cap escalations (re-runs)
+    overrides: dict[str, Any] | None = None  # escalated cap kwargs
+    account: dict[str, Any] | None = None  # last error account
 
-    def __init__(self, point: CampaignPoint) -> None:
-        self.point = point
-        self.tries = 0  # executions started (failures + crashes + successes)
-        self.failures = 0  # completed attempts that raised or timed out
-        self.crashes = 0  # worker deaths while this point was in flight
-        self.created = time.monotonic()  # when the point entered the queue
-        self.first_sent: float | None = None  # first dispatch to a worker
-        self.backoff_s = 0.0  # cumulative retry-backoff slept
-        self.exec_s = 0.0  # in-worker execution time, summed over attempts
-        self.pids: list[int] = []  # worker processes that ran the point
-        self.escalations = 0  # error-budget cap escalations (re-dispatches)
-        self.overrides: dict[str, Any] | None = None  # escalated cap kwargs
-        self.account: dict[str, Any] | None = None  # last error account
+    def record(self, pid: int, outcome: _Outcome) -> None:
+        """Fold one finished execution's process, time and account in."""
+        self.exec_s += outcome.exec_s
+        # Latest execution wins: an escalated re-run's (smaller) account
+        # replaces the blown one, so timelines report the delivered error.
+        self.account = outcome.account
+        if pid not in self.pids:
+            self.pids.append(pid)
 
     def meta(self) -> dict[str, Any]:
-        """The point's timeline fields (supervisor-side view)."""
+        """The point's timeline fields."""
         sent = self.first_sent if self.first_sent is not None else self.created
         out: dict[str, Any] = {
             "queue_wait_s": max(0.0, sent - self.created),
@@ -630,27 +648,99 @@ class _Dispatch:
         return out
 
 
-class _SupervisedRun:
-    """The supervisor-side state of one submitted campaign."""
+def _error_record(
+    dispatch: _Dispatch, kind: str, info: dict[str, Any]
+) -> dict[str, Any]:
+    """The structured, JSON-safe record of one point's terminal failure."""
+    point = dispatch.point
+    return {
+        "index": point.index,
+        "key": point.key,
+        "params": _safe_jsonable(point.params),
+        "seed": point.seed,
+        "kind": kind,
+        "attempts": dispatch.failures,
+        "crashes": dispatch.crashes,
+        "backoff_s": dispatch.backoff_s,
+        "error_type": info.get("error_type"),
+        "message": info.get("message"),
+        "traceback": info.get("traceback"),
+    }
+
+
+def _decide(
+    dispatch: _Dispatch,
+    policy: FailurePolicy,
+    target_error: float | None,
+    outcome: _Outcome,
+) -> tuple[str, Any]:
+    """What happens to a point after one attempt — for both dispatch paths.
+
+    Updates the point's record (``failures``, ``crashes``,
+    ``backoff_s``, ``escalations``, ``overrides``) and returns one of:
+
+    * ``("escalate", caps)`` — a success that blew the ``target_error``
+      budget (at most ``policy.max_escalations`` times): run it again
+      at once with the escalated ``caps``;
+    * ``("done", None)`` — deliver the value;
+    * ``("retry", delay)`` — run it again after ``delay`` seconds of
+      backoff; ``delay`` is ``None`` for a worker crash within
+      ``policy.max_crashes``, which is re-dispatched at once and counts
+      as no failure;
+    * ``("fail", None)`` — a terminal failure under the policy's mode.
+
+    Backoff is keyed by ``dispatch.tries``, the execution count, so an
+    escalated re-run advances the schedule like any other execution.
+    """
+    if outcome.kind == "ok":
+        if target_error is not None and dispatch.escalations < policy.max_escalations:
+            caps = _escalated_caps(dispatch.account, dispatch.overrides, target_error)
+            if caps is not None:
+                dispatch.escalations += 1
+                dispatch.overrides = caps
+                return "escalate", caps
+        return "done", None
+    if outcome.kind == "crash":
+        dispatch.crashes += 1
+        if dispatch.crashes <= policy.max_crashes:
+            return "retry", None
+        return "fail", None
+    dispatch.failures += 1
+    if policy.mode == "retry" and dispatch.failures < policy.max_attempts:
+        delay = policy.backoff_delay(dispatch.point, dispatch.tries)
+        dispatch.backoff_s += delay
+        return "retry", delay
+    return "fail", None
+
+
+class _Run:
+    """The attempt bookkeeping of one submitted campaign.
+
+    Holds the pending points' :class:`_Dispatch` records and the
+    completion events, and applies :func:`_decide`'s verdicts
+    (:meth:`settle`).  Subclasses only choose where attempts execute:
+    :class:`_SupervisedRun` on the executor's worker pool,
+    :class:`_InProcessRun` in the consuming process.
+    """
+
+    #: Whether attempts execute on the executor's worker pool.
+    pooled = False
 
     def __init__(
         self,
-        pool: _SupervisedPool,
         task_ref: str,
         pending: Iterable[CampaignPoint],
         policy: FailurePolicy,
         faults: FaultPlan | None,
-        target_error: float | None = None,
+        target_error: float | None,
+        counters: dict[str, int],
     ) -> None:
-        self.pool = pool
         self.task_ref = task_ref
         self.policy = policy
         self.faults = faults
         self.target_error = target_error
+        self.counters = counters
         self.ready: deque[_Dispatch] = deque(_Dispatch(p) for p in pending)
-        #: heap of (ready_at, seq, dispatch) backoff waits.
-        self.waiting: list[tuple[float, int, _Dispatch]] = []
-        self.inflight = 0
         #: (point, ("ok", value) | ("error", rec), meta) triples.
         self.events: deque[_Event] = deque()
         self.failure: BaseException | None = None
@@ -660,12 +750,151 @@ class _SupervisedRun:
 
     @property
     def outstanding(self) -> bool:
-        return bool(self.ready or self.waiting or self.inflight)
+        """Whether any point still has an attempt to run or finish."""
+        return bool(self.ready)
+
+    def next_event(self) -> _Event | None:
+        """The next ``(point, outcome, meta)`` event; ``None`` when done.
+
+        ``outcome`` is ``("ok", value)`` or ``("error", record)`` and
+        ``meta`` the point's timeline fields (:meth:`_Dispatch.meta`).
+        Raises the failing exception for a ``fail_fast`` run (after
+        already-queued events have drained).
+        """
+        while True:
+            if self.events:
+                return self.events.popleft()
+            if self.failure is not None:
+                self._finish()
+                raise self.failure
+            if not self.outstanding:
+                self._finish()
+                return None
+            self._step()
+
+    def _step(self) -> None:
+        """Make progress until at least one event or verdict lands."""
+        raise NotImplementedError
+
+    def _finish(self) -> None:
+        """Release whatever the run holds once it has nothing to deliver."""
 
     def abandon(self) -> None:
         """Stop scheduling; in-flight completions will be discarded."""
         self.abandoned = True
         self.ready.clear()
+
+    def begin(self, dispatch: _Dispatch) -> int:
+        """Count one more execution of the point; returns its number."""
+        dispatch.tries += 1
+        self.attempts[dispatch.point.index] = dispatch.tries
+        if _metrics.enabled:
+            _metrics.inc("exec_attempts")
+        return dispatch.tries
+
+    def settle(self, dispatch: _Dispatch, outcome: _Outcome) -> tuple[str, Any]:
+        """Decide a finished attempt and record what the verdict implies.
+
+        Counts retries, escalations and crashes, queues the point's event
+        on ``"done"`` / ``"fail"`` (or, under ``fail_fast``, arms the
+        run's failure), and returns the verdict so the caller can run
+        the point again where it runs points.
+        """
+        action, arg = _decide(dispatch, self.policy, self.target_error, outcome)
+        if outcome.kind == "crash" and _metrics.enabled:
+            _metrics.inc("exec_crashes")
+        if action == "retry" and arg is not None:
+            self.counters["retries"] += 1
+            if _metrics.enabled:
+                _metrics.inc("exec_retries")
+        elif action == "escalate":
+            self.counters["escalations"] += 1
+            if _metrics.enabled:
+                _metrics.inc("exec_escalations")
+        elif action == "done":
+            self.events.append(
+                (dispatch.point, ("ok", outcome.payload), dispatch.meta())
+            )
+        elif action == "fail" and self.policy.mode == "fail_fast":
+            self.failure = (
+                outcome.exc
+                if outcome.exc is not None
+                else SimulationError(
+                    f"campaign point {dispatch.point.index} failed "
+                    f"({outcome.kind}): {outcome.payload['message']}"
+                )
+            )
+            self.abandon()
+        elif action == "fail":
+            record = _error_record(dispatch, outcome.kind, outcome.payload)
+            self.events.append((dispatch.point, ("error", record), dispatch.meta()))
+        return action, arg
+
+
+class _InProcessRun(_Run):
+    """A run whose attempts execute in the consuming process.
+
+    Points are computed lazily, one per :meth:`next_event` call, and each
+    runs to its verdict before the next starts: retry backoff sleeps
+    inline and escalations re-run at once.  Kill faults are skipped
+    (never kill the host) and timeouts are not enforced.  Telemetry
+    needs no piggybacking — instrumented code records straight into the
+    live registry and trace buffer.
+    """
+
+    def _step(self) -> None:
+        dispatch = self.ready.popleft()
+        pid = os.getpid()
+        while True:
+            attempt = self.begin(dispatch)
+            outcome = _run_attempt(
+                self.task_ref,
+                dispatch.point,
+                attempt,
+                self.faults,
+                dispatch.overrides,
+                in_worker=False,
+            )
+            dispatch.record(pid, outcome)
+            action, delay = self.settle(dispatch, outcome)
+            if action == "retry":
+                time.sleep(delay)
+            elif action != "escalate":
+                return
+
+
+class _SupervisedRun(_Run):
+    """A run whose attempts execute on a :class:`_SupervisedPool`."""
+
+    pooled = True
+
+    def __init__(
+        self,
+        pool: _SupervisedPool,
+        task_ref: str,
+        pending: Iterable[CampaignPoint],
+        policy: FailurePolicy,
+        faults: FaultPlan | None,
+        target_error: float | None,
+    ) -> None:
+        super().__init__(task_ref, pending, policy, faults, target_error, pool.counters)
+        self.pool = pool
+        #: heap of (ready_at, seq, dispatch) backoff waits.
+        self.waiting: list[tuple[float, int, _Dispatch]] = []
+        self.inflight = 0
+
+    @property
+    def outstanding(self) -> bool:
+        return bool(self.ready or self.waiting or self.inflight)
+
+    def _step(self) -> None:
+        self.pool.pump()
+
+    def _finish(self) -> None:
+        self.pool.forget(self)
+
+    def abandon(self) -> None:
+        super().abandon()
         self.waiting.clear()
 
 
@@ -674,7 +903,7 @@ class _SupervisedPool:
 
     The supervisor owns every worker process and its pipe.  Dispatch is
     one point per worker; progress is pumped from the consuming thread:
-    each :meth:`next_event` call dispatches ready work, then waits on
+    each :meth:`pump` call dispatches ready work, then waits on
     all busy workers' result pipes *and* process sentinels at once, so a
     result, a worker death, a point deadline, or a matured retry backoff
     — whichever happens first — wakes the supervisor.  Dead workers are
@@ -686,7 +915,7 @@ class _SupervisedPool:
 
     def __init__(self, ctx: Any, width: int, counters: dict[str, int]) -> None:
         self._ctx = ctx
-        self._counters = counters
+        self.counters = counters
         self._workers = [_Worker(ctx) for _ in range(width)]
         self._runs: list[_SupervisedRun] = []
         self._uids = itertools.count()
@@ -705,27 +934,6 @@ class _SupervisedPool:
         self._runs.append(run)
         self._dispatch()
         return run
-
-    def next_event(self, run: _SupervisedRun) -> _Event | None:
-        """The run's next completion event, pumping the pool as needed.
-
-        Returns ``(point, outcome, meta)`` with ``outcome`` either
-        ``("ok", value)`` or ``("error", record)`` and ``meta`` the
-        point's timeline fields (:meth:`_Dispatch.meta`); ``None`` when
-        the run is complete.  Raises the failing exception for a
-        ``fail_fast`` run (after already-queued events have drained).
-        """
-        while True:
-            if run.events:
-                return run.events.popleft()
-            if run.failure is not None:
-                exc = run.failure
-                self._forget(run)
-                raise exc
-            if not run.outstanding:
-                self._forget(run)
-                return None
-            self._pump()
 
     @property
     def idle(self) -> bool:
@@ -758,12 +966,7 @@ class _SupervisedPool:
                 if worker.process.is_alive():
                     graceful = False
         for worker in self._workers:
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(1.0)
-                if worker.process.is_alive():  # pragma: no cover - stubborn
-                    worker.process.kill()
-                    worker.process.join(1.0)
+            _stop_process(worker.process)
             try:
                 worker.conn.close()
             except OSError:
@@ -773,7 +976,8 @@ class _SupervisedPool:
         return graceful
 
     # -- scheduling ----------------------------------------------------
-    def _forget(self, run: _SupervisedRun) -> None:
+    def forget(self, run: _SupervisedRun) -> None:
+        """Stop tracking a run that has nothing left to deliver."""
         if run in self._runs:
             self._runs.remove(run)
 
@@ -806,51 +1010,45 @@ class _SupervisedPool:
     def _send(
         self, worker: _Worker, run: _SupervisedRun, dispatch: _Dispatch
     ) -> None:
+        obs_conf = (
+            (_metrics.enabled, _tracing.enabled, _profiling.enabled)
+            if (_metrics.enabled or _tracing.enabled or _profiling.enabled)
+            else None
+        )
+        uid = next(self._uids)
+        message = (
+            uid,
+            run.task_ref,
+            dispatch.point,
+            dispatch.tries + 1,
+            run.faults,
+            obs_conf,
+            dispatch.overrides,
+        )
         while True:
-            dispatch.tries += 1
-            run.attempts[dispatch.point.index] = dispatch.tries
-            uid = next(self._uids)
-            obs_conf = (
-                (_metrics.enabled, _tracing.enabled, _profiling.enabled)
-                if (_metrics.enabled or _tracing.enabled or _profiling.enabled)
-                else None
-            )
             try:
-                worker.conn.send(
-                    (
-                        uid,
-                        run.task_ref,
-                        dispatch.point,
-                        dispatch.tries,
-                        run.faults,
-                        obs_conf,
-                        dispatch.overrides,
-                    )
-                )
+                worker.conn.send(message)
+                break
             except (OSError, ValueError):
                 # The worker died while idle (or its pipe tore): the
-                # dispatch never reached it — roll the attempt back,
-                # respawn, and try again on the fresh process.
-                dispatch.tries -= 1
-                run.attempts[dispatch.point.index] = dispatch.tries
+                # dispatch never reached it — respawn and try again on
+                # the fresh process.
                 self._respawn(worker)
-                continue
-            if dispatch.first_sent is None:
-                dispatch.first_sent = time.monotonic()
-            pid = worker.process.pid
-            if pid is not None and pid not in dispatch.pids:
-                dispatch.pids.append(pid)
-            if _metrics.enabled:
-                _metrics.inc("exec_dispatches")
-                _metrics.inc("exec_attempts")
-            worker.item = (run, dispatch, uid)
-            worker.deadline = (
-                time.monotonic() + run.policy.timeout
-                if run.policy.timeout is not None
-                else None
-            )
-            run.inflight += 1
-            return
+        run.begin(dispatch)
+        if dispatch.first_sent is None:
+            dispatch.first_sent = time.monotonic()
+        pid = worker.process.pid
+        if pid is not None and pid not in dispatch.pids:
+            dispatch.pids.append(pid)
+        if _metrics.enabled:
+            _metrics.inc("exec_dispatches")
+        worker.item = (run, dispatch, uid)
+        worker.deadline = (
+            time.monotonic() + run.policy.timeout
+            if run.policy.timeout is not None
+            else None
+        )
+        run.inflight += 1
 
     def _next_backoff_delta(self, now: float) -> float | None:
         ready_ats = [run.waiting[0][0] for run in self._runs if run.waiting]
@@ -859,7 +1057,7 @@ class _SupervisedPool:
         return max(0.0, min(ready_ats) - now)
 
     # -- the pump ------------------------------------------------------
-    def _pump(self) -> None:
+    def pump(self) -> None:
         """One supervision step: dispatch, wait, classify, recover."""
         self._dispatch()
         now = time.monotonic()
@@ -868,7 +1066,7 @@ class _SupervisedPool:
             # Nothing in flight: the only possible progress is a retry
             # backoff maturing.  Sleep until the earliest one.
             delay = self._next_backoff_delta(now)
-            if delay is None:  # pragma: no cover - guarded by next_event
+            if delay is None:  # pragma: no cover - guarded by outstanding
                 raise SimulationError("supervised pool pumped with no work")
             time.sleep(min(delay + 1e-4, 0.05))
             self._dispatch()
@@ -926,15 +1124,13 @@ class _SupervisedPool:
         run.inflight -= 1
         return run, dispatch, uid
 
-    def _absorb_obs(self, dispatch: _Dispatch, obs: dict[str, Any]) -> None:
-        """Fold a worker's piggybacked telemetry into supervisor state."""
-        dispatch.exec_s += float(obs.get("exec_s", 0.0))
-        # Latest execution wins: an escalated re-run's (smaller) account
-        # replaces the blown one, so timelines report the delivered error.
-        dispatch.account = obs.get("error_account")
-        pid = obs.get("pid")
-        if pid is not None and pid not in dispatch.pids:
-            dispatch.pids.append(pid)
+    def _on_message(self, worker: _Worker, message: tuple[Any, ...]) -> None:
+        uid, outcome, obs = message
+        run, dispatch, expected = self._release(worker)
+        if uid != expected or run.abandoned:
+            return
+        # Fold the worker's piggybacked telemetry into supervisor state.
+        dispatch.record(obs["pid"], outcome)
         snap = obs.get("metrics")
         if snap:
             _metrics.REGISTRY.merge(snap)
@@ -944,45 +1140,7 @@ class _SupervisedPool:
         profiles = obs.get("profile")
         if profiles:
             _profiling.add_raw(profiles)
-
-    def _on_message(self, worker: _Worker, message: tuple[Any, ...]) -> None:
-        kind, uid, payload, exc, obs = message
-        run, dispatch, expected = self._release(worker)
-        if uid != expected or run.abandoned:
-            return
-        if obs:
-            self._absorb_obs(dispatch, obs)
-        if kind == "ok":
-            if self._maybe_escalate(run, dispatch):
-                return
-            run.events.append((dispatch.point, ("ok", payload), dispatch.meta()))
-        else:
-            self._on_failed_attempt(run, dispatch, "exception", payload, exc)
-
-    def _maybe_escalate(self, run: _SupervisedRun, dispatch: _Dispatch) -> bool:
-        """Re-dispatch a successful point whose error blew its budget.
-
-        Only runs with a ``target_error`` contract escalate; the count
-        is bounded by the policy's ``max_escalations``, after which the
-        best delivered result stands (the timeline's flattened error
-        account shows by how much it missed).
-        """
-        if run.target_error is None:
-            return False
-        if dispatch.escalations >= run.policy.max_escalations:
-            return False
-        caps = _escalated_caps(dispatch.account, dispatch.overrides, run.target_error)
-        if caps is None:
-            return False
-        dispatch.escalations += 1
-        dispatch.overrides = caps
-        self._counters["escalations"] += 1
-        if _metrics.enabled:
-            _metrics.inc("exec_escalations")
-        # Head of the queue, like crash recovery: escalation must not
-        # cost the point its scheduling priority.
-        run.ready.appendleft(dispatch)
-        return True
+        self._conclude(run, dispatch, outcome)
 
     def _on_crash(self, worker: _Worker) -> None:
         run, dispatch, _uid = self._release(worker)
@@ -990,36 +1148,23 @@ class _SupervisedPool:
         self._respawn(worker)
         if run.abandoned:
             return
-        dispatch.crashes += 1
-        if _metrics.enabled:
-            _metrics.inc("exec_crashes")
-        if dispatch.crashes <= run.policy.max_crashes:
-            # Re-dispatch at the head of the queue: the point loses no
-            # scheduling priority to its worker's death.
-            run.ready.appendleft(dispatch)
-            return
         info = {
             "error_type": "WorkerCrashError",
             "message": (
                 f"worker process died (exit code {exitcode}) with point "
-                f"{dispatch.point.index} in flight, {dispatch.crashes} "
+                f"{dispatch.point.index} in flight, {dispatch.crashes + 1} "
                 f"deaths total (max_crashes={run.policy.max_crashes})"
             ),
             "traceback": None,
         }
-        self._terminal_failure(run, dispatch, "crash", info, None)
+        self._conclude(run, dispatch, _Outcome("crash", info))
 
     def _on_timeout(self, worker: _Worker) -> None:
         run, dispatch, _uid = self._release(worker)
-        self._counters["timeouts"] += 1
+        self.counters["timeouts"] += 1
         if _metrics.enabled:
             _metrics.inc("exec_timeouts")
-        worker.process.terminate()
-        worker.process.join(1.0)
-        if worker.process.is_alive():
-            worker.process.kill()
-            worker.process.join(1.0)
-        self._respawn(worker)
+        self._respawn(worker)  # stops the overdue process first
         if run.abandoned:
             return
         info = {
@@ -1030,226 +1175,35 @@ class _SupervisedPool:
             ),
             "traceback": None,
         }
-        self._on_failed_attempt(run, dispatch, "timeout", info, None)
+        self._conclude(run, dispatch, _Outcome("timeout", info))
 
-    def _on_failed_attempt(
-        self,
-        run: _SupervisedRun,
-        dispatch: _Dispatch,
-        kind: str,
-        info: dict[str, Any],
-        exc: BaseException | None,
+    def _conclude(
+        self, run: _SupervisedRun, dispatch: _Dispatch, outcome: _Outcome
     ) -> None:
-        """A completed attempt raised or timed out: retry or terminalise."""
-        dispatch.failures += 1
-        policy = run.policy
-        if policy.mode == "retry" and dispatch.failures < policy.max_attempts:
-            self._counters["retries"] += 1
-            if _metrics.enabled:
-                _metrics.inc("exec_retries")
-            delay = policy.backoff_delay(dispatch.point, dispatch.tries)
-            dispatch.backoff_s += delay
+        """Settle a finished attempt and requeue the point if it runs again."""
+        action, delay = run.settle(dispatch, outcome)
+        if action == "escalate" or (action == "retry" and delay is None):
+            # Head of the queue: escalation or a worker's death must not
+            # cost the point its scheduling priority.
+            run.ready.appendleft(dispatch)
+        elif action == "retry":
             heapq.heappush(
                 run.waiting,
                 (time.monotonic() + delay, next(self._seq), dispatch),
             )
-            return
-        self._terminal_failure(run, dispatch, kind, info, exc)
-
-    def _terminal_failure(
-        self,
-        run: _SupervisedRun,
-        dispatch: _Dispatch,
-        kind: str,
-        info: dict[str, Any],
-        exc: BaseException | None,
-    ) -> None:
-        if run.policy.mode == "fail_fast":
-            run.failure = (
-                exc
-                if exc is not None
-                else SimulationError(
-                    f"campaign point {dispatch.point.index} failed "
-                    f"({kind}): {info['message']}"
-                )
-            )
-            run.abandon()
-            return
-        run.events.append(
-            (
-                dispatch.point,
-                ("error", _error_record(dispatch, kind, info)),
-                dispatch.meta(),
-            )
-        )
 
     def _respawn(self, worker: _Worker) -> None:
         try:
             worker.conn.close()
         except OSError:
             pass
-        if worker.process.is_alive():  # pragma: no cover - defensive
-            worker.process.terminate()
-            worker.process.join(1.0)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(1.0)
+        _stop_process(worker.process)
         worker.process, worker.conn = _spawn_worker_process(self._ctx)
         worker.item = None
         worker.deadline = None
-        self._counters["respawns"] += 1
+        self.counters["respawns"] += 1
         if _metrics.enabled:
             _metrics.inc("exec_respawns")
-
-
-def _error_record(
-    dispatch: _Dispatch, kind: str, info: dict[str, Any]
-) -> dict[str, Any]:
-    """The structured, JSON-safe record of one point's terminal failure."""
-    point = dispatch.point
-    return {
-        "index": point.index,
-        "key": point.key,
-        "params": _safe_jsonable(point.params),
-        "seed": point.seed,
-        "kind": kind,
-        "attempts": dispatch.failures,
-        "crashes": dispatch.crashes,
-        "backoff_s": dispatch.backoff_s,
-        "error_type": info.get("error_type"),
-        "message": info.get("message"),
-        "traceback": info.get("traceback"),
-    }
-
-
-def _serial_error_record(
-    point: CampaignPoint,
-    kind: str,
-    info: dict[str, Any],
-    failures: int,
-    backoff_s: float = 0.0,
-) -> dict[str, Any]:
-    dispatch = _Dispatch(point)
-    dispatch.failures = failures
-    dispatch.backoff_s = backoff_s
-    return _error_record(dispatch, kind, info)
-
-
-def _serial_events(
-    task_ref: str,
-    pending: Iterable[CampaignPoint],
-    policy: FailurePolicy,
-    faults: FaultPlan | None,
-    counters: dict[str, int],
-    attempts: dict[int, int],
-    target_error: float | None = None,
-) -> Iterator[_Event]:
-    """In-process execution honouring the failure policy (no timeouts).
-
-    Yields ``(point, outcome, meta)`` like the supervised pool.  Kill
-    faults are skipped (never kill the host process); retry backoff
-    sleeps deterministically; error-budget escalation re-runs points
-    with the same cap schedule as the supervised pool, so serial and
-    parallel escalated campaigns stay bit-identical.  Telemetry needs no
-    piggybacking here — the task runs in the consumer's own process, so
-    instrumented code records straight into the live registry and trace
-    buffer.
-    """
-    pid = os.getpid()
-    for point in pending:
-        failures = 0
-        backoff = 0.0
-        exec_s = 0.0
-        executions = 0
-        escalations = 0
-        overrides: dict[str, Any] | None = None
-        while True:
-            attempt = failures + 1
-            executions += 1
-            attempts[point.index] = executions
-            if _metrics.enabled:
-                _metrics.inc("exec_attempts")
-            started = time.monotonic()
-            acct = _budget.ErrorAccount()
-            try:
-                with _budget.scoped(acct):
-                    if _tracing.enabled:
-                        with _tracing.span(
-                            "point", index=point.index, attempt=attempt
-                        ):
-                            value = _execute_point(
-                                task_ref,
-                                point,
-                                attempt,
-                                faults,
-                                in_worker=False,
-                                overrides=overrides,
-                            )
-                    else:
-                        value = _execute_point(
-                            task_ref,
-                            point,
-                            attempt,
-                            faults,
-                            in_worker=False,
-                            overrides=overrides,
-                        )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                exec_s += time.monotonic() - started
-                failures += 1
-                if policy.mode == "retry" and failures < policy.max_attempts:
-                    counters["retries"] += 1
-                    if _metrics.enabled:
-                        _metrics.inc("exec_retries")
-                    delay = policy.backoff_delay(point, attempt)
-                    backoff += delay
-                    time.sleep(delay)
-                    continue
-                if policy.mode == "fail_fast":
-                    raise
-                record = _serial_error_record(
-                    point, "exception", _describe_error(exc), failures, backoff
-                )
-                meta = {
-                    "queue_wait_s": 0.0,
-                    "exec_s": exec_s,
-                    "backoff_s": backoff,
-                    "attempts": executions,
-                    "crashes": 0,
-                    "pids": [pid],
-                    "escalations": escalations,
-                }
-                account = acct.summary()
-                if account:
-                    meta.update(account)
-                yield point, ("error", record), meta
-                break
-            exec_s += time.monotonic() - started
-            if target_error is not None and escalations < policy.max_escalations:
-                caps = _escalated_caps(acct.summary(), overrides, target_error)
-                if caps is not None:
-                    escalations += 1
-                    overrides = caps
-                    counters["escalations"] += 1
-                    if _metrics.enabled:
-                        _metrics.inc("exec_escalations")
-                    continue
-            meta = {
-                "queue_wait_s": 0.0,
-                "exec_s": exec_s,
-                "backoff_s": backoff,
-                "attempts": executions,
-                "crashes": 0,
-                "pids": [pid],
-                "escalations": escalations,
-            }
-            account = acct.summary()
-            if account:
-                meta.update(account)
-            yield point, ("ok", value), meta
-            break
 
 
 def _preregister_exec_metrics() -> None:
@@ -1295,21 +1249,16 @@ class CampaignHandle:
         pending: list[CampaignPoint],
         cache: ResultCache | None,
         checkpoint_path: Path | None,
-        run: _SupervisedRun | None,
-        policy: FailurePolicy,
-        faults: FaultPlan | None,
+        run: _Run,
         start: float,
         fingerprint: str | None = None,
         ledger: RunLedger | None = None,
-        target_error: float | None = None,
     ) -> None:
         self._executor = executor
         self._campaign = campaign
         self._points = points
         self._cache = cache
         self._checkpoint_path = checkpoint_path
-        self._policy = policy
-        self._faults = faults
         # Clock starts when submit() began, so duration_s covers the
         # cache/checkpoint hit resolution too (a fully-cached campaign's
         # cost IS that scan).
@@ -1320,22 +1269,18 @@ class CampaignHandle:
         self._timeline: dict[int, dict[str, Any]] = {}
         self._callbacks: list[Callable[[CampaignPoint, Any], None]] = []
         self._run = run
-        self._pool_backed = run is not None
-        self._serial_attempts: dict[int, int] = {}
         self._failed: BaseException | None = None
         self._fingerprint = fingerprint
         self._ledger = ledger
-        self._target_error = target_error
         self._ledger_written = False
         self._started_at = time.time()
         self.cache_hits = sum(1 for hit in hits if hit.source == "cache")
         self.checkpoint_hits = len(hits) - self.cache_hits
         self.computed = 0
         # Effective pool width: a campaign whose pending work is 0 or 1
-        # points runs in-process (reported as serial), exactly like the
-        # one-shot runner always did.
-        self.workers = executor.workers if run is not None else 1
-        self._events = self._event_stream(hits, pending, run)
+        # points runs in-process (reported as serial).
+        self.workers = executor.workers if run.pooled else 1
+        self._events = self._event_stream(hits, pending)
 
     @property
     def name(self) -> str:
@@ -1350,7 +1295,7 @@ class CampaignHandle:
     @property
     def policy(self) -> FailurePolicy:
         """The failure policy governing this submission."""
-        return self._policy
+        return self._run.policy
 
     @property
     def fingerprint(self) -> str | None:
@@ -1365,25 +1310,20 @@ class CampaignHandle:
     @property
     def attempts(self) -> dict[int, int]:
         """Executions started per point index (computed points only)."""
-        if self._run is not None:
-            return dict(self._run.attempts)
-        return dict(self._serial_attempts)
+        return dict(self._run.attempts)
 
     def __len__(self) -> int:
         return len(self._points)
 
     # -- event production ------------------------------------------------
     def _event_stream(
-        self,
-        hits: list[PointResult],
-        pending: list[CampaignPoint],
-        run: _SupervisedRun | None,
+        self, hits: list[PointResult], pending: list[CampaignPoint]
     ) -> Iterator[PointResult]:
         """Yield :class:`PointResult` events in completion order.
 
         Hits are yielded first (they were resolved at submit time, before
-        anything touched the pool); computed points follow as the
-        supervised pool — or the in-process serial loop — delivers them.
+        anything touched the pool); computed points follow as the run —
+        on the supervised pool or in-process — delivers them.
         """
         checkpoint_handle: IO[str] | None = None
         try:
@@ -1401,52 +1341,27 @@ class CampaignHandle:
             if self._checkpoint_path is not None:
                 self._checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
                 checkpoint_handle = self._checkpoint_path.open("a")
-            source: Iterable[_Event]
-            if run is None:
-                source = _serial_events(
-                    self._campaign.task_reference,
-                    pending,
-                    self._policy,
-                    self._faults,
-                    self._executor._counters,
-                    self._serial_attempts,
-                    self._target_error,
-                )
-            else:
-                source = iter(lambda: run.pool.next_event(run), None)
-            for point, outcome, meta in source:
-                if outcome[0] == "ok":
-                    value = outcome[1]
-                    put_s = self._record(point, value, checkpoint_handle)
-                    self._timeline[point.index] = {
-                        "index": point.index,
-                        "source": "computed",
-                        "ok": True,
-                        "cache_put_s": put_s,
-                        **meta,
-                    }
-                    if _metrics.enabled:
-                        _metrics.inc("exec_points", source="computed")
-                        _metrics.observe(
-                            "exec_point_s", meta["exec_s"], outcome="ok"
-                        )
-                    yield PointResult(point, value, "computed")
+            for point, (status, payload), meta in iter(self._run.next_event, None):
+                ok = status == "ok"
+                put_s = None
+                if ok:
+                    put_s = self._record(point, payload, checkpoint_handle)
                 else:
-                    record = outcome[1]
-                    self._record_error(point, record, checkpoint_handle)
-                    self._timeline[point.index] = {
-                        "index": point.index,
-                        "source": "computed",
-                        "ok": False,
-                        "cache_put_s": None,
-                        **meta,
-                    }
-                    if _metrics.enabled:
-                        _metrics.inc("exec_points", source="computed")
-                        _metrics.observe(
-                            "exec_point_s", meta["exec_s"], outcome="error"
-                        )
-                    yield PointResult(point, None, "computed", False, record)
+                    self._record_error(point, payload, checkpoint_handle)
+                self._timeline[point.index] = {
+                    "index": point.index,
+                    "source": "computed",
+                    "ok": ok,
+                    "cache_put_s": put_s,
+                    **meta,
+                }
+                if _metrics.enabled:
+                    _metrics.inc("exec_points", source="computed")
+                    _metrics.observe("exec_point_s", meta["exec_s"], outcome=status)
+                if ok:
+                    yield PointResult(point, payload, "computed")
+                else:
+                    yield PointResult(point, None, "computed", False, payload)
             # Reached only when every point resolved: abandoned or failed
             # streams leave no ledger record (a partial run is not a
             # sample the autopilot should ever calibrate against).
@@ -1491,7 +1406,7 @@ class CampaignHandle:
                 f"campaign {self.name!r} already failed: {self._failed!r}"
             ) from self._failed
         if (
-            self._pool_backed
+            self._run.pooled
             and self._executor._closed
             and len(self._seen) < len(self._points)
         ):
@@ -1508,8 +1423,7 @@ class CampaignHandle:
             raise
         except BaseException as exc:
             self._failed = exc
-            if self._run is not None:
-                self._run.abandon()
+            self._run.abandon()
             raise
         self._seen.append(event)
         self._values[event.point.index] = event.value
@@ -1602,7 +1516,7 @@ class CampaignHandle:
         terminal error records, the final metrics snapshot, and — when
         profiling was on — the merged hot-path table.
         """
-        policy = self._policy
+        policy = self._run.policy
         return {
             "fingerprint": self._fingerprint,
             "name": self.name,
@@ -1617,7 +1531,7 @@ class CampaignHandle:
                 "max_crashes": policy.max_crashes,
                 "max_escalations": policy.max_escalations,
             },
-            "target_error": self._target_error,
+            "target_error": self._run.target_error,
             "workers": self.workers,
             "env": {
                 "cpu_count": os.cpu_count(),
@@ -1754,10 +1668,6 @@ class CampaignExecutor:
             (streaming still works — points are computed lazily).
         cache: default :class:`ResultCache` (or directory path) applied
             to every submission unless overridden per call.
-        chunk_size: retained for API compatibility; supervised dispatch
-            is always per point (the scheduling quantum chunking used to
-            amortise no longer exists), so this knob is accepted and
-            ignored.
         policy: default :class:`FailurePolicy` (or mode string) for
             submissions that don't pass their own.
         http_port: serve live telemetry (``/metrics``, ``/status``,
@@ -1792,7 +1702,6 @@ class CampaignExecutor:
         workers: int | None = None,
         *,
         cache: ResultCache | str | Path | None = None,
-        chunk_size: int | None = None,
         policy: FailurePolicy | str | None = None,
         http_port: int | None = None,
         ledger: RunLedger | str | Path | bool | None = None,
@@ -1805,7 +1714,6 @@ class CampaignExecutor:
         if isinstance(cache, (str, Path)):
             cache = ResultCache(cache)
         self.cache = cache
-        self.chunk_size = chunk_size
         self.policy = FailurePolicy.coerce(policy)
         self._pool: _SupervisedPool | None = None
         self._closed = False
@@ -1934,7 +1842,6 @@ class CampaignExecutor:
         *,
         cache: ResultCache | str | Path | None = _UNSET,
         checkpoint: str | Path | None = None,
-        chunk_size: int | None = None,
         policy: FailurePolicy | str | None = None,
         faults: FaultPlan | None = None,
         ledger: RunLedger | str | Path | bool | None = _UNSET,
@@ -1957,8 +1864,6 @@ class CampaignExecutor:
             checkpoint: JSON-lines resume file, replayed then appended.
                 Records are status-tagged: successes replay verbatim on
                 resume, error records are retried.
-            chunk_size: accepted for compatibility, ignored (supervised
-                dispatch is per point).
             policy: :class:`FailurePolicy` (or mode string) for this
                 submission; defaults to the executor's policy.
             faults: a :class:`repro.exec.faults.FaultPlan` injecting
@@ -1979,7 +1884,6 @@ class CampaignExecutor:
         """
         if self._closed:
             raise SimulationError("executor is closed")
-        del chunk_size  # per-point supervised dispatch: nothing to chunk
         start = time.perf_counter()
         if _metrics.enabled:
             _preregister_exec_metrics()
@@ -2011,7 +1915,7 @@ class CampaignExecutor:
                 continue
             pending.append(point)
 
-        run: _SupervisedRun | None = None
+        run: _Run
         if self.workers > 1 and len(pending) > 1:
             # Dispatch now: up to one point per worker starts immediately,
             # so workers make progress while the caller is off doing
@@ -2019,6 +1923,15 @@ class CampaignExecutor:
             pool = self._ensure_pool()
             run = pool.submit(
                 campaign.task_reference, pending, effective, faults, target_error
+            )
+        else:
+            run = _InProcessRun(
+                campaign.task_reference,
+                pending,
+                effective,
+                faults,
+                target_error,
+                self._counters,
             )
         fingerprint = stable_hash(
             {
@@ -2036,12 +1949,9 @@ class CampaignExecutor:
             cache=cache,
             checkpoint_path=checkpoint_path,
             run=run,
-            policy=effective,
-            faults=faults,
             start=start,
             fingerprint=fingerprint,
             ledger=self._resolve_ledger(cache, ledger),
-            target_error=target_error,
         )
         if self._server is not None:
             self._server.register(handle)
@@ -2054,7 +1964,6 @@ class CampaignExecutor:
         *,
         cache: ResultCache | str | Path | None = _UNSET,
         checkpoint: str | Path | None = None,
-        chunk_size: int | None = None,
         policy: FailurePolicy | str | None = None,
         faults: FaultPlan | None = None,
         ledger: RunLedger | str | Path | bool | None = _UNSET,
@@ -2065,7 +1974,6 @@ class CampaignExecutor:
             campaign,
             cache=cache,
             checkpoint=checkpoint,
-            chunk_size=chunk_size,
             policy=policy,
             faults=faults,
             ledger=ledger,
@@ -2119,7 +2027,6 @@ def run_campaign(
     workers: int | None = None,
     cache: ResultCache | str | Path | None = None,
     checkpoint: str | Path | None = None,
-    chunk_size: int | None = None,
     policy: FailurePolicy | str | None = None,
     faults: FaultPlan | None = None,
     target_error: float | None = None,
@@ -2145,8 +2052,6 @@ def run_campaign(
         checkpoint: JSON-lines file appended as points complete; an
             existing file is replayed first (resume after a kill), with
             corrupted lines skipped and error records retried.
-        chunk_size: accepted for compatibility, ignored (supervised
-            dispatch is per point).
         policy: :class:`FailurePolicy` (or mode string) governing task
             failures, worker crashes, and per-point timeouts.
         faults: a :class:`repro.exec.faults.FaultPlan` for deterministic
@@ -2162,7 +2067,6 @@ def run_campaign(
         return executor.run(
             campaign,
             checkpoint=checkpoint,
-            chunk_size=chunk_size,
             policy=policy,
             faults=faults,
             target_error=target_error,

@@ -143,8 +143,10 @@ class FaultPlan:
         """Inject this ``(point, attempt)``'s scheduled fault, if any.
 
         Called by the execution layer immediately before the task runs.
-        ``in_worker`` gates kill faults: only a supervised worker process
-        may be killed (the serial in-process path skips them).
+        ``attempt`` is the point's execution count, escalated re-runs
+        included, on serial and pooled runs alike.  ``in_worker`` gates
+        kill faults: only a supervised worker process may be killed (the
+        serial in-process path skips them).
         """
         kind = self.fault_for(point, attempt)
         if kind is None:

@@ -126,11 +126,13 @@ class FailurePolicy:
         )
 
     def backoff_delay(self, point: CampaignPoint, attempt: int) -> float:
-        """Deterministic backoff before retrying ``point``'s ``attempt``-th try.
+        """Deterministic backoff after ``point``'s ``attempt``-th execution failed.
 
-        Exponential in the attempt number, capped at ``backoff_max``,
-        with a jitter fraction drawn from the point's retry seed — the
-        same ``(point, attempt)`` always waits the same time.
+        ``attempt`` counts executions, escalated re-runs included, on
+        serial and pooled runs alike.  Exponential in the attempt
+        number, capped at ``backoff_max``, with a jitter fraction drawn
+        from the point's retry seed — the same ``(point, attempt)``
+        always waits the same time.
         """
         from .sweep import retry_seed
 

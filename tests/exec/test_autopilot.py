@@ -14,7 +14,6 @@ The load-bearing properties:
   in the right direction, clamped, without mutating the input.
 """
 
-import importlib
 import json
 
 import numpy as np
@@ -321,11 +320,3 @@ class TestFacade:
         ):
             assert hasattr(repro, name)
             assert name in repro.__all__
-
-    def test_runner_shim_warns(self):
-        from repro.exec import runner
-
-        with pytest.warns(DeprecationWarning, match="repro.exec.runner"):
-            importlib.reload(runner)
-        # The historical surface still resolves after the warning.
-        assert runner.run_campaign is not None

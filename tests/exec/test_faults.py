@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import budget
 from repro.core.exceptions import SimulationError
 from repro.exec import (
     Campaign,
@@ -55,6 +56,13 @@ def brittle_task(x, bad=(), seed=0):
 def tolerant_task(x, bad=(), seed=0):
     """Same computation as :func:`brittle_task`, without the failures."""
     return float(x + np.random.default_rng(seed).random())
+
+
+def capped_task(x, max_bond=2, seed=0):
+    """Leaks truncation 0.1 below ``max_bond`` 4: one escalation fixes it."""
+    if max_bond < 4:
+        budget.record_truncation(0.1, chi=max_bond)
+    return {"x": float(x + np.random.default_rng(seed).random()), "max_bond": max_bond}
 
 
 def sleepy_task(x, delay_ms=0.0, seed=0):
@@ -300,6 +308,51 @@ class TestSupervisedRecovery:
         assert result.values == [0, None, 2]
         assert stats["timeouts"] == 1
         assert stats["respawns"] >= 1
+
+
+class TestSerialPoolParity:
+    """Serial and pooled dispatch number attempts the same way.
+
+    An escalated re-run is a further execution, so it draws the fault
+    plan's next attempt and backs off by the next attempt's delay on
+    both paths.  Kills are left out: only workers can be killed.
+    """
+
+    @pytest.mark.parametrize("mode", ["continue", "retry"])
+    def test_escalation_under_faults_matches(self, mode):
+        plan = FaultPlan(seed=3, p_exception=0.5)
+        policy = FailurePolicy(mode=mode, backoff_base=0.001, backoff_max=0.01)
+        runs = []
+        for workers in (1, 2):
+            with CampaignExecutor(workers) as ex:
+                result = ex.run(
+                    _campaign(n=24, task=capped_task),
+                    cache=None,
+                    policy=policy,
+                    faults=plan,
+                    target_error=1e-3,
+                )
+                runs.append((result, ex.stats))
+        (serial, serial_stats), (pooled, pooled_stats) = runs
+        assert pooled.workers == 2 and serial.workers == 1
+        assert pooled.values == serial.values
+
+        def records(result):  # tracebacks differ between processes
+            return [{**e, "traceback": None} for e in result.errors]
+
+        def timeline(result):
+            fields = ("index", "ok", "attempts", "backoff_s", "escalations")
+            return [[t[k] for k in fields] for t in result.timeline]
+
+        assert records(pooled) == records(serial)
+        assert timeline(pooled) == timeline(serial)
+        for counter in ("retries", "escalations"):
+            assert pooled_stats[counter] == serial_stats[counter]
+        assert serial_stats["escalations"] > 0
+        if mode == "continue":
+            assert serial.errors  # the plan's faults surface as records
+        else:
+            assert serial.ok
 
 
 class TestErrorPropagationPaths:
